@@ -146,12 +146,19 @@ Result<std::unique_ptr<StatementRunner>> StatementRunner::Create(
   // expose the full set from the first scrape.
   obs::MetricsRegistry::Global().gauge("shard.count").Set(runner->shards_);
   for (int k = 0; k < runner->shards_; ++k) {
-    ShardCounter(ShardInsertCounterName(k)).Increment(0);
+    runner->shard_insert_counters_.push_back(
+        ShardCounter(ShardInsertCounterName(k)));
+    runner->shard_insert_counters_.back().Increment(0);
   }
   if (runner->shards_ > 1) {
-    for (const char* route :
-         {"single-shard", "shard-local", "scatter-gather"}) {
-      ShardCounter(std::string("shard.route.") + route).Increment(0);
+    // In ShardRouteClass order.
+    for (shard::ShardRouteClass route :
+         {shard::ShardRouteClass::kSingleShard,
+          shard::ShardRouteClass::kLocalJoin,
+          shard::ShardRouteClass::kScatterGather}) {
+      runner->route_counters_.push_back(ShardCounter(
+          std::string("shard.route.") + shard::ShardRouteClassName(route)));
+      runner->route_counters_.back().Increment(0);
     }
   }
   if (options.figure4) {
@@ -365,9 +372,7 @@ Result<StatementOutcome> StatementRunner::ExecuteClassified(
     if (result.shard_count > 1) {
       // Per-route-class traffic counters (sharded SELECTs only; EXPLAIN
       // and TRACE results keep the default single-shard stamp).
-      ShardCounter(std::string("shard.route.") +
-                   shard::ShardRouteClassName(result.shard_route))
-          .Increment();
+      route_counters_[static_cast<size_t>(result.shard_route)].Increment();
       outcome.shard = result.shard_target;
     }
     // EXPLAIN / TRACE / EXPORT / LOAD output is plain lines; SELECT and
@@ -497,7 +502,7 @@ Result<StatementOutcome> StatementRunner::InsertLocked(
     ERBIUM_ASSIGN_OR_RETURN(target, router_->RouteInsert(entity, value));
   }
   ERBIUM_RETURN_NOT_OK(shard_db(target)->InsertEntity(entity, value));
-  ShardCounter(ShardInsertCounterName(target)).Increment();
+  shard_insert_counters_[static_cast<size_t>(target)].Increment();
   // Feed the workload profiler at the statement level (not inside
   // MappedDatabase) so REMAP migration, recovery replay, and ADVISE
   // candidate population never pollute the CRUD counters.

@@ -14,6 +14,7 @@
 #include "erql/query_engine.h"
 #include "mapping/database.h"
 #include "mapping/mapping_spec.h"
+#include "obs/metrics.h"
 #include "shard/router.h"
 
 namespace erbium {
@@ -270,6 +271,11 @@ class StatementRunner {
   std::unique_ptr<shard::ShardRouter> router_;
   shard::ShardPlanContext shard_ctx_;
   std::atomic<bool> shard_ctx_ready_{false};
+  /// shard.<k>.inserts by shard and, when sharded, shard.route.<class>
+  /// by ShardRouteClass: resolved once at Create, since a registry
+  /// lookup by name takes its mutex and these count every statement.
+  std::vector<obs::Counter> shard_insert_counters_;
+  std::vector<obs::Counter> route_counters_;
   MappingSpec spec_ = MappingSpec::Normalized("m1");
   durability::WalWriter::SyncMode sync_ =
       durability::WalWriter::SyncMode::kNone;
@@ -279,7 +285,7 @@ class StatementRunner {
   std::string ddl_history_;
 
   /// Prepared-statement support: compiled SELECT plans keyed by
-  /// (normalized text, mapping_generation_). Readers check plans out
+  /// (statement shape, mapping_generation_). Readers check plans out
   /// under the shared lock; DDL/REMAP/ATTACH bump the generation under
   /// the exclusive lock, so a stale plan can never execute.
   std::unique_ptr<erql::PlanCache> plan_cache_;

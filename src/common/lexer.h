@@ -24,6 +24,10 @@ struct Token {
   int64_t int_value = 0;
   double float_value = 0;
   size_t position = 0;  // byte offset, for error messages
+  /// Parameter slot of an integer/float/string literal when the stream
+  /// was shaped for the plan cache (erql::PlanCache::Shape); -1 for
+  /// every other token and for plain Tokenize output.
+  int param = -1;
 
   bool IsSymbol(const char* s) const {
     return kind == TokenKind::kSymbol && text == s;

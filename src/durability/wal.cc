@@ -287,8 +287,13 @@ Status WalWriter::Append(WalRecord record) {
   }
   ++next_lsn_;
   offset_ += bytes.size();
-  obs::MetricsRegistry::Global().counter("wal.appends").Increment();
-  obs::MetricsRegistry::Global().counter("wal.bytes").Increment(bytes.size());
+  // Resolved once: a lookup by name takes the registry mutex.
+  static const obs::Counter appends =
+      obs::MetricsRegistry::Global().counter("wal.appends");
+  static const obs::Counter appended_bytes =
+      obs::MetricsRegistry::Global().counter("wal.bytes");
+  appends.Increment();
+  appended_bytes.Increment(bytes.size());
   return Status::OK();
 }
 

@@ -32,6 +32,10 @@ struct ExprAst {
   std::string qualifier;            // kIdent
   std::string name;                 // kIdent / kFunction
   Value literal;                    // kLiteral
+  /// kLiteral parsed from a shaped token stream: the statement parameter
+  /// slot it reads (Query::params), or -1 for a literal the plan keeps
+  /// constant (true/false/null, negative numbers, arrays).
+  int param_slot = -1;
   std::string op;                   // kBinary
   std::vector<ExprAstPtr> children;
   std::vector<std::string> field_names;  // kStruct
@@ -136,6 +140,14 @@ struct Query {
   bool explicit_group_by = false;
   std::vector<OrderItem> order_by;
   int64_t limit = -1;                 // -1 -> none
+
+  /// Statement parameters, when parsed from a stream shaped for the plan
+  /// cache: the value of every integer/float/string literal, by slot.
+  std::vector<Value> params;
+  /// Slots whose value shapes the plan itself rather than flowing into
+  /// an expression (IN lists, array and negative literals, LIMIT): a
+  /// plan compiled from this query is valid only for these exact values.
+  std::vector<int> guarded_slots;
 };
 
 }  // namespace erql

@@ -22,9 +22,24 @@ bool IsReservedKeyword(const std::string& word) {
   return false;
 }
 
+/// The value of an integer, float, or string literal token.
+Value TokenValue(const Token& token) {
+  switch (token.kind) {
+    case TokenKind::kInteger:
+      return Value::Int64(token.int_value);
+    case TokenKind::kFloat:
+      return Value::Float64(token.float_value);
+    default:
+      return Value::String(token.text);
+  }
+}
+
 class QueryParser {
  public:
   explicit QueryParser(TokenStream ts) : ts_(std::move(ts)) {}
+
+  /// Parameter slots whose literal the parse consumed structurally.
+  std::vector<int> TakeGuardedSlots() { return std::move(guarded_); }
 
   Result<Query> ParseQuery() {
     Query query;
@@ -153,7 +168,7 @@ class QueryParser {
       if (ts_.Peek().kind != TokenKind::kInteger) {
         return ts_.ErrorHere("expected integer after LIMIT");
       }
-      query.limit = ts_.Advance().int_value;
+      query.limit = TakeGuarded().int_value;
     }
     if (!ts_.AtEnd() && !ts_.ConsumeSymbol(";")) {
       return ts_.ErrorHere("unexpected trailing input");
@@ -162,6 +177,16 @@ class QueryParser {
   }
 
  private:
+  /// Consumes a literal token whose value shapes the plan itself (a
+  /// LIMIT, an IN-list or array element, a negated number): a shaped
+  /// stream records its parameter slot as guarded. (Only plain SELECTs
+  /// are shaped, so other statements' literals need no guard.)
+  const Token& TakeGuarded() {
+    const Token& token = ts_.Advance();
+    if (token.param >= 0) guarded_.push_back(token.param);
+    return token;
+  }
+
   Status ExpectEnd() {
     if (!ts_.AtEnd() && !ts_.ConsumeSymbol(";")) {
       return ts_.ErrorHere("unexpected trailing input");
@@ -342,17 +367,9 @@ class QueryParser {
 
   Result<Value> ParseLiteralValue() {
     const Token& token = ts_.Peek();
-    if (token.kind == TokenKind::kInteger) {
-      ts_.Advance();
-      return Value::Int64(token.int_value);
-    }
-    if (token.kind == TokenKind::kFloat) {
-      ts_.Advance();
-      return Value::Float64(token.float_value);
-    }
-    if (token.kind == TokenKind::kString) {
-      ts_.Advance();
-      return Value::String(token.text);
+    if (token.kind == TokenKind::kInteger || token.kind == TokenKind::kFloat ||
+        token.kind == TokenKind::kString) {
+      return TokenValue(TakeGuarded());
     }
     if (token.IsKeyword("true")) {
       ts_.Advance();
@@ -370,7 +387,7 @@ class QueryParser {
         (ts_.Peek(1).kind == TokenKind::kInteger ||
          ts_.Peek(1).kind == TokenKind::kFloat)) {
       ts_.Advance();
-      const Token& number = ts_.Advance();
+      const Token& number = TakeGuarded();
       if (number.kind == TokenKind::kInteger) {
         return Value::Int64(-number.int_value);
       }
@@ -381,10 +398,19 @@ class QueryParser {
 
   Result<ExprAstPtr> ParsePrimary() {
     const Token& token = ts_.Peek();
-    // Literals (incl. negative numbers).
+    // A standalone number or string: reads its parameter slot when the
+    // stream was shaped.
     if (token.kind == TokenKind::kInteger || token.kind == TokenKind::kFloat ||
-        token.kind == TokenKind::kString || token.IsKeyword("true") ||
-        token.IsKeyword("false") || token.IsKeyword("null") ||
+        token.kind == TokenKind::kString) {
+      auto ast = std::make_shared<ExprAst>();
+      ast->kind = ExprAst::Kind::kLiteral;
+      ast->param_slot = token.param;
+      ast->literal = TokenValue(ts_.Advance());
+      return ExprAstPtr(ast);
+    }
+    // Constant literals: keywords and negative numbers.
+    if (token.IsKeyword("true") || token.IsKeyword("false") ||
+        token.IsKeyword("null") ||
         (token.IsSymbol("-") && (ts_.Peek(1).kind == TokenKind::kInteger ||
                                  ts_.Peek(1).kind == TokenKind::kFloat))) {
       ERBIUM_ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
@@ -496,6 +522,7 @@ class QueryParser {
   }
 
   TokenStream ts_;
+  std::vector<int> guarded_;
 };
 
 }  // namespace
@@ -547,8 +574,23 @@ std::string ExprAst::ToString() const {
 
 Result<Query> Parser::Parse(const std::string& text) {
   ERBIUM_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lexer::Tokenize(text));
+  return Parse(std::move(tokens));
+}
+
+Result<Query> Parser::Parse(std::vector<Token> tokens) {
+  std::vector<Value> params;
+  for (const Token& token : tokens) {
+    if (token.param < 0) continue;
+    if (static_cast<size_t>(token.param) >= params.size()) {
+      params.resize(static_cast<size_t>(token.param) + 1);
+    }
+    params[static_cast<size_t>(token.param)] = TokenValue(token);
+  }
   QueryParser parser{TokenStream(std::move(tokens))};
-  return parser.ParseQuery();
+  ERBIUM_ASSIGN_OR_RETURN(Query query, parser.ParseQuery());
+  query.params = std::move(params);
+  query.guarded_slots = parser.TakeGuardedSlots();
+  return query;
 }
 
 }  // namespace erql

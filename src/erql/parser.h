@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "common/lexer.h"
 #include "common/status.h"
 #include "erql/ast.h"
 
@@ -32,6 +33,10 @@ namespace erql {
 class Parser {
  public:
   static Result<Query> Parse(const std::string& text);
+  /// Parses an already tokenized statement. Literal tokens that carry a
+  /// parameter slot (PlanCache::Shape) fill Query::params, and each
+  /// standalone one becomes a kLiteral tagged with its slot.
+  static Result<Query> Parse(std::vector<Token> tokens);
 };
 
 }  // namespace erql

@@ -8,32 +8,52 @@
 namespace erbium {
 namespace erql {
 
-namespace {
-
-obs::Counter HitCounter() {
-  return obs::MetricsRegistry::Global().counter("plan_cache.hits");
-}
-obs::Counter MissCounter() {
-  return obs::MetricsRegistry::Global().counter("plan_cache.misses");
-}
-obs::Counter EvictionCounter() {
-  return obs::MetricsRegistry::Global().counter("plan_cache.evictions");
-}
-obs::Counter InvalidationCounter() {
-  return obs::MetricsRegistry::Global().counter("plan_cache.invalidations");
-}
-
-void UpdateEntriesGauge(size_t entries) {
-  obs::MetricsRegistry::Global()
-      .gauge("plan_cache.entries")
-      .Set(static_cast<int64_t>(entries));
-}
-
-}  // namespace
-
-PlanCache::PlanCache(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
+PlanCache::PlanCache(size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity),
+      hits_(obs::MetricsRegistry::Global().counter("plan_cache.hits")),
+      misses_(obs::MetricsRegistry::Global().counter("plan_cache.misses")),
+      evictions_(
+          obs::MetricsRegistry::Global().counter("plan_cache.evictions")),
+      invalidations_(
+          obs::MetricsRegistry::Global().counter("plan_cache.invalidations")),
+      entries_(obs::MetricsRegistry::Global().gauge("plan_cache.entries")) {}
 
 PlanCache::~PlanCache() = default;
+
+Result<ShapedStatement> PlanCache::Shape(const std::string& text) {
+  ShapedStatement out;
+  ERBIUM_ASSIGN_OR_RETURN(out.tokens, Lexer::Tokenize(text));
+  // A trailing ';' (shell habit) does not change the statement; the last
+  // token is always kEnd.
+  size_t end = out.tokens.size() - 1;
+  while (end > 0 && out.tokens[end - 1].IsSymbol(";")) --end;
+  out.key.reserve(text.size());
+  for (size_t i = 0; i < end; ++i) {
+    Token& token = out.tokens[i];
+    if (i > 0) out.key.push_back(' ');
+    const char* placeholder = nullptr;
+    switch (token.kind) {
+      case TokenKind::kInteger:
+        out.params.push_back(Value::Int64(token.int_value));
+        placeholder = "?i";
+        break;
+      case TokenKind::kFloat:
+        out.params.push_back(Value::Float64(token.float_value));
+        placeholder = "?f";
+        break;
+      case TokenKind::kString:
+        out.params.push_back(Value::String(token.text));
+        placeholder = "?s";
+        break;
+      default:
+        out.key += token.text;
+        continue;
+    }
+    token.param = static_cast<int>(out.params.size()) - 1;
+    out.key += placeholder;
+  }
+  return out;
+}
 
 std::string PlanCache::NormalizeStatement(const std::string& text) {
   std::string out;
@@ -64,13 +84,25 @@ std::string PlanCache::NormalizeStatement(const std::string& text) {
   return out;
 }
 
-std::unique_ptr<CompiledQuery> PlanCache::Checkout(const std::string& key,
-                                                   uint64_t generation) {
+namespace {
+
+bool GuardsHold(const CompiledQuery& plan, const std::vector<Value>& params) {
+  for (const PlanGuard& guard : plan.guards) {
+    if (!guard.Holds(params)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+std::unique_ptr<CompiledQuery> PlanCache::Checkout(
+    const std::string& key, uint64_t generation,
+    const std::vector<Value>* params) {
   std::unique_lock<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
     lock.unlock();
-    MissCounter().Increment();
+    misses_.Increment();
     return nullptr;
   }
   LruList::iterator entry = it->second;
@@ -79,24 +111,27 @@ std::unique_ptr<CompiledQuery> PlanCache::Checkout(const std::string& key,
     EraseLocked(entry);
     size_t entries = lru_.size();
     lock.unlock();
-    EvictionCounter().Increment();
-    MissCounter().Increment();
-    UpdateEntriesGauge(entries);
+    evictions_.Increment();
+    misses_.Increment();
+    entries_.Set(static_cast<int64_t>(entries));
     return nullptr;
   }
-  if (entry->plans.empty()) {
-    // All instances for this key are checked out right now.
+  // Newest first. A miss here means every instance is checked out right
+  // now, or none was compiled for values that pass its guards.
+  std::vector<std::unique_ptr<CompiledQuery>>& plans = entry->plans;
+  for (size_t i = plans.size(); i-- > 0;) {
+    if (params != nullptr && !GuardsHold(*plans[i], *params)) continue;
+    std::unique_ptr<CompiledQuery> plan = std::move(plans[i]);
+    plans.erase(plans.begin() + static_cast<std::ptrdiff_t>(i));
+    // Touch: move to the front of the LRU list.
+    lru_.splice(lru_.begin(), lru_, entry);
     lock.unlock();
-    MissCounter().Increment();
-    return nullptr;
+    hits_.Increment();
+    return plan;
   }
-  std::unique_ptr<CompiledQuery> plan = std::move(entry->plans.back());
-  entry->plans.pop_back();
-  // Touch: move to the front of the LRU list.
-  lru_.splice(lru_.begin(), lru_, entry);
   lock.unlock();
-  HitCounter().Increment();
-  return plan;
+  misses_.Increment();
+  return nullptr;
 }
 
 void PlanCache::CheckIn(const std::string& key, uint64_t generation,
@@ -112,13 +147,16 @@ void PlanCache::CheckIn(const std::string& key, uint64_t generation,
       EraseLocked(entry);
       size_t entries = lru_.size();
       lock.unlock();
-      EvictionCounter().Increment();
-      UpdateEntriesGauge(entries);
+      evictions_.Increment();
+      entries_.Set(static_cast<int64_t>(entries));
       return;
     }
-    if (entry->plans.size() < kPlansPerKey) {
-      entry->plans.push_back(std::move(plan));
+    // A full pool makes room by dropping its oldest instance, so plans
+    // for guard values no longer in use age out.
+    if (entry->plans.size() >= kPlansPerKey) {
+      entry->plans.erase(entry->plans.begin());
     }
+    entry->plans.push_back(std::move(plan));
     lru_.splice(lru_.begin(), lru_, entry);
     return;
   }
@@ -136,8 +174,8 @@ void PlanCache::CheckIn(const std::string& key, uint64_t generation,
   index_[key] = lru_.begin();
   size_t entries = lru_.size();
   lock.unlock();
-  if (evicted > 0) EvictionCounter().Increment(evicted);
-  UpdateEntriesGauge(entries);
+  if (evicted > 0) evictions_.Increment(evicted);
+  entries_.Set(static_cast<int64_t>(entries));
 }
 
 void PlanCache::InvalidateBelow(uint64_t generation) {
@@ -155,8 +193,8 @@ void PlanCache::InvalidateBelow(uint64_t generation) {
   }
   size_t entries = lru_.size();
   lock.unlock();
-  if (purged > 0) InvalidationCounter().Increment(purged);
-  UpdateEntriesGauge(entries);
+  if (purged > 0) invalidations_.Increment(purged);
+  entries_.Set(static_cast<int64_t>(entries));
 }
 
 size_t PlanCache::size() const {

@@ -9,19 +9,40 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/lexer.h"
+#include "common/status.h"
 #include "erql/translator.h"
+#include "obs/metrics.h"
 
 namespace erbium {
 namespace erql {
 
+/// One statement tokenized for the plan cache: its shape key, its literal
+/// values, and the token stream (literal tokens tagged with their
+/// parameter slots) for the parser on a miss.
+struct ShapedStatement {
+  /// Tokens joined by single spaces with every integer, float, and string
+  /// literal replaced by a typed placeholder (?i, ?f, ?s); identifiers
+  /// and keywords keep their spelling (result column names echo it); a
+  /// trailing ';' drops.
+  std::string key;
+  /// The replaced literals' values, by slot (left to right).
+  std::vector<Value> params;
+  std::vector<Token> tokens;
+};
+
 /// LRU cache of compiled SELECT plans — the paper's point that the E/R
 /// layer is the *stable* abstraction above volatile physical mappings,
 /// applied to the hot path: parse→translate is paid once per
-/// (normalized statement text, mapping generation) and reused until the
-/// mapping changes underneath it. The owner (api::StatementRunner) bumps
-/// the generation on every DDL / REMAP / ATTACH; entries compiled under
-/// an older generation hold dangling Table pointers and are never
-/// returned, only purged.
+/// (statement shape, mapping generation) and reused until the mapping
+/// changes underneath it. Statements that differ only in literal values
+/// share a shape; each execution rebinds the cached plan's parameter
+/// vector to its own values (CompiledQuery::params), and a plan whose
+/// structure depends on a literal's value carries guards
+/// (CompiledQuery::guards) that Checkout() checks before serving it. The
+/// owner (api::StatementRunner) bumps the generation on every DDL /
+/// REMAP / ATTACH; entries compiled under an older generation hold
+/// dangling Table pointers and are never returned, only purged.
 ///
 /// Operator trees carry cursor state (Open() resets it, but two threads
 /// may not drive one tree at once), so entries are *checked out* for the
@@ -30,7 +51,9 @@ namespace erql {
 /// CheckIn() returns it. A second concurrent reader of the same
 /// statement simply misses and compiles fresh; its check-in deepens the
 /// per-key pool (up to kPlansPerKey instances), so steady-state
-/// concurrency stops missing.
+/// concurrency stops missing. Instances of one shape compiled for
+/// different guard values (say, single-shard reads routed to different
+/// shards) share that pool.
 ///
 /// Thread safety: all methods lock an internal mutex; the cache never
 /// executes plans itself. Metrics: plan_cache.hits / .misses /
@@ -38,8 +61,9 @@ namespace erql {
 /// plan_cache.entries gauge.
 class PlanCache {
  public:
-  /// Maximum plan instances pooled per key; more check-ins than this are
-  /// dropped (a plan is cheap to recompile, unbounded pools are not).
+  /// Maximum plan instances pooled per key; a check-in past this drops
+  /// the key's oldest instance (a plan is cheap to recompile, unbounded
+  /// pools are not).
   static constexpr size_t kPlansPerKey = 8;
 
   explicit PlanCache(size_t capacity = 1024);
@@ -48,21 +72,30 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// The cache key of a statement: whitespace runs outside quoted
+  /// Tokenizes `text` once into its shape key and parameters (see
+  /// ShapedStatement). Fails where the lexer does.
+  static Result<ShapedStatement> Shape(const std::string& text);
+
+  /// A literal-significant text key: whitespace runs outside quoted
   /// strings collapse to one space, leading/trailing whitespace and a
-  /// trailing ';' drop. Formatting variants of one statement share an
-  /// entry; literals stay significant (no parameterization yet).
+  /// trailing ';' drop. For callers that key plans by text and never
+  /// rebind them; the engine keys by Shape().
   static std::string NormalizeStatement(const std::string& text);
 
   /// Removes and returns one plan compiled for `key` under exactly
-  /// `generation`, or nullptr (miss). A surviving entry from an older
-  /// generation is purged on sight and counts as an eviction.
-  std::unique_ptr<CompiledQuery> Checkout(const std::string& key,
-                                          uint64_t generation);
+  /// `generation` whose guards hold for `params`, or nullptr (miss). The
+  /// caller rebinds the plan's parameters to `params` before running it.
+  /// With `params` null the guards are not consulted: the key itself
+  /// fixes every literal (a NormalizeStatement key). A surviving entry
+  /// from an older generation is purged on sight and counts as an
+  /// eviction.
+  std::unique_ptr<CompiledQuery> Checkout(
+      const std::string& key, uint64_t generation,
+      const std::vector<Value>* params = nullptr);
 
   /// Returns a plan to the pool for `key`. Dropped silently when the
-  /// generation has moved on, the per-key pool is full, or inserting
-  /// would exceed capacity after LRU eviction.
+  /// generation has moved on, or inserting would exceed capacity after
+  /// LRU eviction; a full per-key pool drops its oldest instance.
   void CheckIn(const std::string& key, uint64_t generation,
                std::unique_ptr<CompiledQuery> plan);
 
@@ -88,6 +121,11 @@ class PlanCache {
   void EraseLocked(LruList::iterator it);
 
   const size_t capacity_;
+  obs::Counter hits_;
+  obs::Counter misses_;
+  obs::Counter evictions_;
+  obs::Counter invalidations_;
+  obs::Gauge entries_;
   mutable std::mutex mu_;
   /// Most-recently-used at the front.
   LruList lru_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -430,12 +431,14 @@ Result<QueryResult> TraceQuery(
 /// fills it from the result for everything else). Statements that run a
 /// plan under an analyze window export the span tree via `stats_out`.
 /// A plain SELECT compiled here is checked into `cache` (when non-null)
-/// under `cache_key`/`generation` after a successful run.
+/// under `cache_key`/`generation` after a successful run. `shape` is the
+/// statement's profile shape when the caller already has it (empty:
+/// derived from `text`).
 Result<QueryResult> ExecuteParsed(
     MappedDatabase* db, const Query& query, const std::string& text,
     const ExecOptions& opts, uint64_t start_wall_ns, obs::QueryRecord* record,
     obs::QueryStats* stats_out, bool* have_stats, PlanCache* cache,
-    uint64_t generation, const std::string& cache_key,
+    uint64_t generation, const std::string& cache_key, std::string shape,
     std::shared_ptr<obs::StatementFootprint>* footprint_out) {
   record->kind = StatementKindName(query);
   switch (query.statement) {
@@ -523,7 +526,8 @@ Result<QueryResult> ExecuteParsed(
     // Stamp the normalized shape once; the footprint (shape included) is
     // immutable from here on and rides along with cached plans.
     if (compiled.footprint->shape.empty()) {
-      compiled.footprint->shape = obs::NormalizeShape(text);
+      compiled.footprint->shape =
+          shape.empty() ? obs::NormalizeShape(text) : std::move(shape);
     }
     *footprint_out = compiled.footprint;
   }
@@ -579,13 +583,23 @@ Result<QueryResult> QueryEngine::Execute(MappedDatabase* db,
   record.threads = opts.num_threads;
   record.kind = "invalid";  // overwritten once the statement parses
 
-  // Prepared-statement fast path: a cached plan skips parse + translate.
-  // Only plain SELECTs ever live in the cache, so a hit implies the kind.
-  std::string cache_key;
+  // Prepared-statement fast path: a cached plan of the statement's shape,
+  // rebound to its literal values, skips parse + translate. Only plain
+  // SELECTs ever live in the cache, so a hit implies the kind. Text the
+  // lexer rejects skips the cache; the parse below reports the error.
+  std::optional<ShapedStatement> shaped;
   std::unique_ptr<CompiledQuery> cached;
   if (cache != nullptr) {
-    cache_key = PlanCache::NormalizeStatement(text);
-    cached = cache->Checkout(cache_key, generation);
+    Result<ShapedStatement> shape = PlanCache::Shape(text);
+    if (shape.ok()) {
+      shaped = std::move(shape).value();
+      cached = cache->Checkout(shaped->key, generation, &shaped->params);
+      if (cached != nullptr && cached->params != nullptr) {
+        // Producers a LIMIT left running still read the old values.
+        cached->plan->StopProducers();
+        *cached->params = std::move(shaped->params);
+      }
+    }
   }
 
   obs::QueryStats stats;
@@ -612,13 +626,23 @@ Result<QueryResult> QueryEngine::Execute(MappedDatabase* db,
       reused.shard_route = cached->shard_route;
       reused.shard_target = cached->shard_target;
       reused.shard_count = cached->shard_count;
-      cache->CheckIn(cache_key, generation, std::move(cached));
+      cache->CheckIn(shaped->key, generation, std::move(cached));
       return reused;
     }
-    ERBIUM_ASSIGN_OR_RETURN(Query query, Parser::Parse(text));
+    if (!shaped) {
+      ERBIUM_ASSIGN_OR_RETURN(Query query, Parser::Parse(text));
+      return ExecuteParsed(db, query, text, opts, start_wall, &record, &stats,
+                           &have_stats, nullptr, generation, "", "",
+                           &footprint);
+    }
+    // A miss parses the shaped tokens: no second lex, for the parser or
+    // for the profile shape.
+    std::string shape = obs::NormalizeShape(shaped->tokens);
+    ERBIUM_ASSIGN_OR_RETURN(Query query,
+                            Parser::Parse(std::move(shaped->tokens)));
     return ExecuteParsed(db, query, text, opts, start_wall, &record, &stats,
-                         &have_stats, cache, generation, cache_key,
-                         &footprint);
+                         &have_stats, cache, generation, shaped->key,
+                         std::move(shape), &footprint);
   }();
 
   record.wall_ns = obs::MonotonicNowNs() - start_wall;

@@ -185,6 +185,42 @@ Result<OperatorPtr> FinishQueryTail(OperatorPtr plan,
   return plan;
 }
 
+/// Guards a shard chosen by hashing literal routing values: a plan
+/// rebound to other values may serve them only if they hash to the same
+/// shard. Constant literals route the same way every time and need none.
+void AddRouteGuard(const std::vector<const ExprAst*>& literals, int shard,
+                   int shards, std::vector<PlanGuard>* guards) {
+  PlanGuard guard;
+  guard.kind = PlanGuard::Kind::kRoutesTo;
+  guard.shard = shard;
+  guard.shards = shards;
+  bool parameterized = false;
+  for (const ExprAst* literal : literals) {
+    guard.slots.push_back(literal->param_slot);
+    guard.values.push_back(literal->literal);
+    parameterized = parameterized || literal->param_slot >= 0;
+  }
+  if (!parameterized) return;
+  // Every branch of a sharded plan makes the same choice; keep one.
+  for (const PlanGuard& other : *guards) {
+    if (other.kind == guard.kind && other.shard == guard.shard &&
+        other.slots == guard.slots && other.values == guard.values) {
+      return;
+    }
+  }
+  guards->push_back(std::move(guard));
+}
+
+/// Parameter slots of every literal inside an expression.
+void CollectParamSlots(const ExprAst& ast, std::vector<int>* out) {
+  if (ast.kind == ExprAst::Kind::kLiteral && ast.param_slot >= 0) {
+    out->push_back(ast.param_slot);
+  }
+  for (const ExprAstPtr& child : ast.children) {
+    CollectParamSlots(*child, out);
+  }
+}
+
 /// What a per-shard branch translation hands back to the sharded
 /// coordinator: the parts that must be assembled exactly once above the
 /// ShardGather / ShardMergeAggregate seam rather than per branch.
@@ -206,11 +242,19 @@ struct BranchParts {
 
 class TranslatorImpl {
  public:
+  /// `params` backs the query's parameter slots (null: every literal is
+  /// a constant); route choices made from literal values append their
+  /// guards to `guards`.
   TranslatorImpl(MappedDatabase* db, const Query& query,
-                 const ExecOptions& opts, BranchParts* branch_out = nullptr)
+                 const ExecOptions& opts,
+                 std::shared_ptr<const std::vector<Value>> params,
+                 std::vector<PlanGuard>* guards,
+                 BranchParts* branch_out = nullptr)
       : db_(db),
         query_(query),
         opts_(opts),
+        params_(std::move(params)),
+        guards_(guards),
         shards_(branch_out != nullptr ? opts.shards : nullptr),
         branch_out_(branch_out) {}
 
@@ -247,6 +291,9 @@ class TranslatorImpl {
                                      AliasInfo* info_out, bool join_side);
 
   Result<ExprPtr> Bind(const ExprAst& ast, Scope* scope);
+  /// A literal node as an expression: its parameter slot when it has
+  /// one, else the constant.
+  ExprPtr BindLiteral(const ExprAst& literal) const;
 
   /// Aliases referenced by an expression (resolved).
   Status ReferencedAliases(const ExprAst& ast, std::set<std::string>* out);
@@ -259,6 +306,8 @@ class TranslatorImpl {
   MappedDatabase* db_;
   const Query& query_;
   ExecOptions opts_;
+  std::shared_ptr<const std::vector<Value>> params_;
+  std::vector<PlanGuard>* guards_;
   std::vector<AliasDecl> decls_;
   obs::StatementFootprint footprint_;
   std::set<std::string> attr_touches_seen_;
@@ -523,6 +572,13 @@ Status TranslatorImpl::ReferencedAliases(const ExprAst& ast,
   return Status::OK();
 }
 
+ExprPtr TranslatorImpl::BindLiteral(const ExprAst& literal) const {
+  if (literal.param_slot >= 0 && params_ != nullptr) {
+    return MakeParam(literal.param_slot, params_);
+  }
+  return MakeLiteral(literal.literal);
+}
+
 Result<ExprPtr> TranslatorImpl::Bind(const ExprAst& ast, Scope* scope) {
   switch (ast.kind) {
     case ExprAst::Kind::kIdent: {
@@ -530,7 +586,7 @@ Result<ExprPtr> TranslatorImpl::Bind(const ExprAst& ast, Scope* scope) {
       return MakeColumnRef(position, ast.ToString());
     }
     case ExprAst::Kind::kLiteral:
-      return MakeLiteral(ast.literal);
+      return BindLiteral(ast);
     case ExprAst::Kind::kBinary: {
       ERBIUM_ASSIGN_OR_RETURN(ExprPtr left, Bind(*ast.children[0], scope));
       ERBIUM_ASSIGN_OR_RETURN(ExprPtr right, Bind(*ast.children[1], scope));
@@ -608,7 +664,7 @@ Result<OperatorPtr> TranslatorImpl::BuildAliasPlan(
     bool join_side) {
   // Detect a full-key point lookup: equality conjuncts ident = literal
   // (or literal = ident) covering every key attribute.
-  std::map<std::string, Value> pinned;
+  std::map<std::string, const ExprAst*> pinned;
   std::vector<bool> consumed(conjuncts.size(), false);
   for (size_t i = 0; i < conjuncts.size(); ++i) {
     const ExprAst& c = *conjuncts[i];
@@ -626,7 +682,7 @@ Result<OperatorPtr> TranslatorImpl::BuildAliasPlan(
     bool is_key = std::find(decl->key_names.begin(), decl->key_names.end(),
                             ident->name) != decl->key_names.end();
     if (is_key && pinned.count(ident->name) == 0) {
-      pinned.emplace(ident->name, literal->literal);
+      pinned.emplace(ident->name, literal);
       consumed[i] = true;
     }
   }
@@ -639,21 +695,34 @@ Result<OperatorPtr> TranslatorImpl::BuildAliasPlan(
   bool branch_local =
       shards_ == nullptr || local_aliases_.count(decl->alias) > 0;
   if (point_lookup) {
-    IndexKey key;
+    // The key reaches the lookup as expressions, so a cached plan probes
+    // whatever key its parameters are rebound to.
+    std::vector<const ExprAst*> literals;
+    std::vector<ExprPtr> key;
     for (const std::string& name : decl->key_names) {
-      key.push_back(pinned.at(name));
+      literals.push_back(pinned.at(name));
+      key.push_back(BindLiteral(*literals.back()));
     }
     MappedDatabase* target = db_;
     if (!branch_local) {
       // A pinned full key names exactly one shard (the routing prefix is
       // part of it) — probe that shard directly instead of unioning
       // every shard's index.
+      IndexKey values;
+      for (const ExprAst* literal : literals) {
+        values.push_back(literal->literal);
+      }
       ERBIUM_ASSIGN_OR_RETURN(int s,
-                              shards_->map->RouteKey(decl->entity, key));
+                              shards_->map->RouteKey(decl->entity, values));
       target = shards_->dbs[s];
+      size_t prefix = shards_->map->entity(decl->entity)->routing_attrs.size();
+      literals.resize(prefix);
+      AddRouteGuard(literals, s, static_cast<int>(shards_->dbs.size()),
+                    guards_);
     }
-    ERBIUM_ASSIGN_OR_RETURN(
-        plan, target->LookupEntity(decl->entity, key, decl->needed));
+    ERBIUM_ASSIGN_OR_RETURN(plan, target->LookupEntity(decl->entity,
+                                                       std::move(key),
+                                                       decl->needed));
   } else if (branch_local) {
     ERBIUM_ASSIGN_OR_RETURN(plan, db_->ScanEntity(decl->entity, decl->needed));
     std::fill(consumed.begin(), consumed.end(), false);
@@ -1503,7 +1572,8 @@ std::vector<std::string> BuildMappingNotes(const PhysicalMapping& m,
 /// statement (aggregates included) compiles unsharded against that
 /// shard's database.
 bool RouteSingleShard(const Query& query, const shard::ShardPlanContext& ctx,
-                      MappedDatabase* db0, int* shard_out) {
+                      MappedDatabase* db0, int* shard_out,
+                      std::vector<const ExprAst*>* routing_literals) {
   if (!query.joins.empty()) return false;
   const EntitySetDef* def = db0->schema().FindEntitySet(query.from.entity);
   if (def == nullptr) return false;  // let normal analysis report it
@@ -1511,7 +1581,7 @@ bool RouteSingleShard(const Query& query, const shard::ShardPlanContext& ctx,
   if (place == nullptr || place->routing_attrs.empty()) return false;
   std::vector<ExprAstPtr> conjuncts;
   SplitConjuncts(query.where, &conjuncts);
-  std::map<std::string, Value> pinned;
+  std::map<std::string, const ExprAst*> pinned;
   for (const ExprAstPtr& c : conjuncts) {
     if (c->kind != ExprAst::Kind::kBinary || c->op != "=") continue;
     const ExprAst* ident = nullptr;
@@ -1528,14 +1598,16 @@ bool RouteSingleShard(const Query& query, const shard::ShardPlanContext& ctx,
         !EqualsIgnoreCase(ident->qualifier, query.from.alias)) {
       continue;
     }
-    pinned.emplace(ident->name, literal->literal);
+    pinned.emplace(ident->name, literal);
   }
   std::vector<Value> routing;
   routing.reserve(place->routing_attrs.size());
+  routing_literals->clear();
   for (const std::string& attr : place->routing_attrs) {
     auto it = pinned.find(attr);
     if (it == pinned.end()) return false;
-    routing.push_back(it->second);
+    routing.push_back(it->second->literal);
+    routing_literals->push_back(it->second);
   }
   *shard_out = ctx.map->RouteValues(routing);
   return true;
@@ -1545,16 +1617,20 @@ bool RouteSingleShard(const Query& query, const shard::ShardPlanContext& ctx,
 /// pipeline per shard combined by ShardGatherOp (bag union) or
 /// ShardMergeAggregateOp (accumulator merge), with the final projection,
 /// Distinct, Sort, and Limit applied exactly once above the combine.
-Result<CompiledQuery> TranslateSharded(const Query& query,
-                                       const ExecOptions& opts) {
+Result<CompiledQuery> TranslateSharded(
+    const Query& query, const ExecOptions& opts,
+    const std::shared_ptr<const std::vector<Value>>& params,
+    std::vector<PlanGuard>* guards) {
   const shard::ShardPlanContext& ctx = *opts.shards;
   const int n = static_cast<int>(ctx.dbs.size());
 
   int target = -1;
-  if (RouteSingleShard(query, ctx, ctx.dbs[0], &target)) {
+  std::vector<const ExprAst*> routing_literals;
+  if (RouteSingleShard(query, ctx, ctx.dbs[0], &target, &routing_literals)) {
+    AddRouteGuard(routing_literals, target, n, guards);
     ExecOptions inner = opts;
     inner.shards = nullptr;
-    TranslatorImpl impl(ctx.dbs[target], query, inner);
+    TranslatorImpl impl(ctx.dbs[target], query, inner, params, guards);
     ERBIUM_ASSIGN_OR_RETURN(CompiledQuery compiled, impl.Run());
     compiled.shard_route = shard::ShardRouteClass::kSingleShard;
     compiled.shard_target = target;
@@ -1574,7 +1650,8 @@ Result<CompiledQuery> TranslateSharded(const Query& query,
   branches.reserve(n);
   for (int k = 0; k < n; ++k) {
     BranchParts branch_parts;
-    TranslatorImpl impl(ctx.dbs[k], query, branch_opts, &branch_parts);
+    TranslatorImpl impl(ctx.dbs[k], query, branch_opts, params, guards,
+                        &branch_parts);
     ERBIUM_ASSIGN_OR_RETURN(CompiledQuery branch, impl.Run());
     branches.push_back(std::move(branch.plan));
     if (k == 0) {
@@ -1618,16 +1695,64 @@ Result<CompiledQuery> TranslateSharded(const Query& query,
 
 }  // namespace
 
+bool PlanGuard::Holds(const std::vector<Value>& params) const {
+  auto value_at = [&](size_t i) -> const Value* {
+    if (slots[i] < 0) return &values[i];
+    size_t slot = static_cast<size_t>(slots[i]);
+    return slot < params.size() ? &params[slot] : nullptr;
+  };
+  if (kind == Kind::kEquals) {
+    const Value* v = value_at(0);
+    return v != nullptr && v->kind() == values[0].kind() && *v == values[0];
+  }
+  std::vector<Value> routing;
+  routing.reserve(slots.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const Value* v = value_at(i);
+    if (v == nullptr) return false;
+    routing.push_back(*v);
+  }
+  return shard::ShardOfRoutingValues(routing, shards) == shard;
+}
+
 Result<CompiledQuery> Translator::Translate(MappedDatabase* db,
                                             const Query& query,
                                             const ExecOptions& opts) {
+  std::shared_ptr<std::vector<Value>> params;
+  std::vector<PlanGuard> guards;
+  if (!query.params.empty()) {
+    params = std::make_shared<std::vector<Value>>(query.params);
+    // Literals whose value shapes the plan pin it to that value. Besides
+    // the parser's (IN lists, arrays, negative numbers, LIMIT), explicit
+    // GROUP BY matches select items to group keys by printed form, so
+    // both sides' literals are structural too.
+    std::vector<int> slots = query.guarded_slots;
+    if (query.explicit_group_by) {
+      for (const ExprAstPtr& g : query.group_by) CollectParamSlots(*g, &slots);
+      for (const SelectItem& item : query.select) {
+        if (!(item.expr->kind == ExprAst::Kind::kFunction &&
+              IsAggregateName(item.expr->name))) {
+          CollectParamSlots(*item.expr, &slots);
+        }
+      }
+    }
+    for (int slot : slots) {
+      PlanGuard guard;
+      guard.slots = {slot};
+      guard.values = {query.params[static_cast<size_t>(slot)]};
+      guards.push_back(std::move(guard));
+    }
+  }
   CompiledQuery compiled;
   if (opts.shards != nullptr && opts.shards->dbs.size() > 1) {
-    ERBIUM_ASSIGN_OR_RETURN(compiled, TranslateSharded(query, opts));
+    ERBIUM_ASSIGN_OR_RETURN(compiled,
+                            TranslateSharded(query, opts, params, &guards));
   } else {
-    TranslatorImpl impl(db, query, opts);
+    TranslatorImpl impl(db, query, opts, params, &guards);
     ERBIUM_ASSIGN_OR_RETURN(compiled, impl.Run());
   }
+  compiled.params = std::move(params);
+  compiled.guards = std::move(guards);
   compiled.explain = query.explain;
   if (query.explain != ExplainMode::kNone) {
     compiled.mapping_summary = db->mapping().spec().ToString();

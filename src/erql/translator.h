@@ -17,10 +17,38 @@
 namespace erbium {
 namespace erql {
 
+/// A condition on a statement's parameter values under which a compiled
+/// plan is valid for it. Literals that flow into expressions are read
+/// through ParamExpr and need no guard; a guard covers a literal whose
+/// value picked part of the plan's structure.
+struct PlanGuard {
+  enum class Kind {
+    /// params[slots[0]] equals values[0].
+    kEquals,
+    /// The routing values — params[slots[i]], or values[i] where
+    /// slots[i] < 0 (a constant literal) — hash to `shard` of `shards`.
+    kRoutesTo,
+  };
+  Kind kind = Kind::kEquals;
+  std::vector<int> slots;
+  std::vector<Value> values;
+  int shard = 0;
+  int shards = 1;
+
+  bool Holds(const std::vector<Value>& params) const;
+};
+
 /// A bound, executable query: the physical plan plus output column names.
 struct CompiledQuery {
   OperatorPtr plan;
   std::vector<std::string> columns;
+
+  /// The statement parameters the plan's ParamExprs read (null when the
+  /// query had none). Assigning new values rebinds the plan to another
+  /// statement of the same shape; never while the plan runs.
+  std::shared_ptr<std::vector<Value>> params;
+  /// Conditions the parameters must meet for this plan to serve them.
+  std::vector<PlanGuard> guards;
 
   /// EXPLAIN support, filled by the translator when the query carried an
   /// EXPLAIN prefix and consumed by QueryEngine::Execute: the mapping's

@@ -379,6 +379,17 @@ ExprPtr MakeLiteral(Value value) {
   return std::make_shared<LiteralExpr>(std::move(value));
 }
 
+std::vector<ExprPtr> MakeLiterals(const std::vector<Value>& values) {
+  std::vector<ExprPtr> out;
+  out.reserve(values.size());
+  for (const Value& v : values) out.push_back(MakeLiteral(v));
+  return out;
+}
+
+ExprPtr MakeParam(int slot, std::shared_ptr<const std::vector<Value>> params) {
+  return std::make_shared<ParamExpr>(slot, std::move(params));
+}
+
 ExprPtr MakeCompare(CompareOp op, ExprPtr left, ExprPtr right) {
   return std::make_shared<CompareExpr>(op, std::move(left), std::move(right));
 }

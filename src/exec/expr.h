@@ -52,6 +52,26 @@ class LiteralExpr : public Expr {
   Value value_;
 };
 
+/// A statement parameter: slot `slot` of a values vector owned by the
+/// compiled plan. A cached plan is rebound to a new statement by
+/// assigning that vector between executions; it is read-only while the
+/// plan runs, so morsel workers may evaluate it concurrently. Prints its
+/// bound value, exactly as the literal it stands for would.
+class ParamExpr : public Expr {
+ public:
+  ParamExpr(int slot, std::shared_ptr<const std::vector<Value>> params)
+      : slot_(slot), params_(std::move(params)) {}
+
+  Value Eval(const Row&) const override { return (*params_)[slot_]; }
+  std::string ToString() const override {
+    return (*params_)[slot_].ToString();
+  }
+
+ private:
+  int slot_;
+  std::shared_ptr<const std::vector<Value>> params_;
+};
+
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 /// Three-valued comparison: null operand -> null result.
@@ -203,6 +223,9 @@ class FunctionExpr : public Expr {
 
 ExprPtr MakeColumnRef(int index, std::string name);
 ExprPtr MakeLiteral(Value value);
+/// One literal expression per value (a key given as constants).
+std::vector<ExprPtr> MakeLiterals(const std::vector<Value>& values);
+ExprPtr MakeParam(int slot, std::shared_ptr<const std::vector<Value>> params);
 ExprPtr MakeCompare(CompareOp op, ExprPtr left, ExprPtr right);
 ExprPtr MakeAnd(ExprPtr left, ExprPtr right);
 ExprPtr MakeOr(ExprPtr left, ExprPtr right);

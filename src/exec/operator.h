@@ -68,6 +68,13 @@ class Operator {
   /// An upper bound is fine; used only for container reservations.
   virtual size_t EstimatedRowCount() const { return 0; }
 
+  /// Cancels and joins the pool tasks still producing rows for this
+  /// subtree from its last execution: a consumer that stopped early
+  /// (LIMIT) leaves them running until the next Open(). Call before
+  /// changing what the plan's expressions read between executions, such
+  /// as its bound parameters. The default recurses into children().
+  virtual void StopProducers();
+
  protected:
   Operator() = default;
 
@@ -127,10 +134,13 @@ class SeqScan : public Operator {
 /// Point lookup of one key through the table's index on the given columns
 /// (falls back to scan if no index exists), probing a version pinned at
 /// Open() so it never blocks behind — or observes half of — a writer.
+/// The key is given as expressions (literals or statement parameters)
+/// and evaluated at every Open(), so a cached plan probes the key its
+/// current parameters name.
 class IndexLookup : public Operator {
  public:
   IndexLookup(const Table* table, std::vector<int> column_indexes,
-              IndexKey key);
+              std::vector<ExprPtr> key);
 
   Status OpenImpl() override;
   bool NextImpl(Row* out) override;
@@ -143,6 +153,7 @@ class IndexLookup : public Operator {
   const TableVersion* version_ = nullptr;
   std::shared_ptr<const TableVersion> owned_pin_;
   std::vector<int> column_indexes_;
+  std::vector<ExprPtr> key_exprs_;
   IndexKey key_;
   std::vector<RowId> matches_;
   size_t next_ = 0;

@@ -277,6 +277,7 @@ class GatherOp : public Operator {
   size_t EstimatedRowCount() const override {
     return serial_plan_->EstimatedRowCount();
   }
+  void StopProducers() override { Shutdown(); }
 
   /// The serial plan this exchange was built from and the worker clones
   /// actually executed; EXPLAIN renders the serial tree with the workers'

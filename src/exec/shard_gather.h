@@ -38,6 +38,7 @@ class ShardGatherOp : public Operator {
   std::string name() const override;
   std::vector<const Operator*> children() const override;
   size_t EstimatedRowCount() const override;
+  void StopProducers() override { Shutdown(); }
 
   const std::vector<OperatorPtr>& branches() const { return branches_; }
 

@@ -34,10 +34,17 @@ Result<Row> BuildRow(const TableSchema& schema, Provider&& provider) {
 
 }  // namespace
 
-Status MappedDatabase::Counted(Status s, const char* counter_name) {
-  if (s.ok()) {
-    obs::MetricsRegistry::Global().counter(counter_name).Increment();
-  }
+Status MappedDatabase::Counted(Status s, CrudOp op) {
+  // Resolved once, in CrudOp order: a lookup by name takes the registry
+  // mutex.
+  static const obs::Counter kCounters[] = {
+      obs::MetricsRegistry::Global().counter("crud.entity_inserts"),
+      obs::MetricsRegistry::Global().counter("crud.entity_deletes"),
+      obs::MetricsRegistry::Global().counter("crud.attribute_updates"),
+      obs::MetricsRegistry::Global().counter("crud.relationship_inserts"),
+      obs::MetricsRegistry::Global().counter("crud.relationship_deletes"),
+  };
+  if (s.ok()) kCounters[static_cast<size_t>(op)].Increment();
   return s;
 }
 
@@ -53,8 +60,8 @@ Status MappedDatabase::Counted(Status s, const char* counter_name) {
 Status MappedDatabase::InsertEntity(const std::string& class_name,
                                     const Value& entity) {
   std::lock_guard<std::recursive_mutex> domain(LockDomain(class_name));
-  Status s = Counted(InsertEntityImpl(class_name, entity),
-                     "crud.entity_inserts");
+  Status s =
+      Counted(InsertEntityImpl(class_name, entity), CrudOp::kEntityInsert);
   if (s.ok() && durability_ != nullptr) {
     return durability_->LogInsertEntity(class_name, entity);
   }
@@ -64,7 +71,7 @@ Status MappedDatabase::InsertEntity(const std::string& class_name,
 Status MappedDatabase::DeleteEntity(const std::string& class_name,
                                     const IndexKey& key) {
   std::lock_guard<std::recursive_mutex> domain(LockDomain(class_name));
-  Status s = Counted(DeleteEntityImpl(class_name, key), "crud.entity_deletes");
+  Status s = Counted(DeleteEntityImpl(class_name, key), CrudOp::kEntityDelete);
   if (s.ok() && durability_ != nullptr) {
     return durability_->LogDeleteEntity(class_name, key);
   }
@@ -77,7 +84,7 @@ Status MappedDatabase::UpdateAttribute(const std::string& class_name,
                                        const Value& value) {
   std::lock_guard<std::recursive_mutex> domain(LockDomain(class_name));
   Status s = Counted(UpdateAttributeImpl(class_name, key, attr, value),
-                     "crud.attribute_updates");
+                     CrudOp::kAttributeUpdate);
   if (s.ok() && durability_ != nullptr) {
     return durability_->LogUpdateAttribute(class_name, key, attr, value);
   }
@@ -91,7 +98,7 @@ Status MappedDatabase::InsertRelationship(const std::string& rel_name,
   std::lock_guard<std::recursive_mutex> domain(LockDomain(rel_name));
   Status s = Counted(InsertRelationshipImpl(rel_name, left_key, right_key,
                                             attrs),
-                     "crud.relationship_inserts");
+                     CrudOp::kRelationshipInsert);
   if (s.ok() && durability_ != nullptr) {
     return durability_->LogInsertRelationship(rel_name, left_key, right_key,
                                               attrs);
@@ -104,7 +111,7 @@ Status MappedDatabase::DeleteRelationship(const std::string& rel_name,
                                           const IndexKey& right_key) {
   std::lock_guard<std::recursive_mutex> domain(LockDomain(rel_name));
   Status s = Counted(DeleteRelationshipImpl(rel_name, left_key, right_key),
-                     "crud.relationship_deletes");
+                     CrudOp::kRelationshipDelete);
   if (s.ok() && durability_ != nullptr) {
     return durability_->LogDeleteRelationship(rel_name, left_key, right_key);
   }

@@ -136,6 +136,12 @@ class MappedDatabase {
   Result<OperatorPtr> LookupEntity(const std::string& class_name,
                                    const IndexKey& key,
                                    const std::vector<std::string>& attrs);
+  /// The same plan with the key given as expressions (literals or
+  /// statement parameters), evaluated whenever the plan opens, so one
+  /// compiled point read serves every key value it is rebound to.
+  Result<OperatorPtr> LookupEntity(const std::string& class_name,
+                                   std::vector<ExprPtr> key,
+                                   const std::vector<std::string>& attrs);
 
   /// Unnested multi-valued attribute stream: full key columns + one
   /// element column named after the attribute.
@@ -166,9 +172,17 @@ class MappedDatabase {
                                         const std::vector<std::string>& attrs);
 
  private:
-  /// Bumps the named logical-CRUD counter when the operation succeeded,
-  /// so counters reflect applied changes, not attempts.
-  static Status Counted(Status s, const char* counter_name);
+  /// The public mutations, each with its crud.* counter.
+  enum class CrudOp {
+    kEntityInsert,
+    kEntityDelete,
+    kAttributeUpdate,
+    kRelationshipInsert,
+    kRelationshipDelete,
+  };
+  /// Bumps the operation's logical-CRUD counter when it succeeded, so
+  /// counters reflect applied changes, not attempts.
+  static Status Counted(Status s, CrudOp op);
 
   Status InsertEntityImpl(const std::string& class_name, const Value& entity);
   Status DeleteEntityImpl(const std::string& class_name, const IndexKey& key);
@@ -213,14 +227,15 @@ class MappedDatabase {
   /// Base stream over instances of the class: full key columns plus the
   /// own-location columns needed for `needed_attrs` that are inline
   /// (arrays / scalars / FK cols are handled by the callers). The
-  /// `key_filter` (may be null) restricts to one key for point access.
-  Result<OperatorPtr> BuildSegmentStream(const std::string& class_name,
-                                         const std::vector<std::string>& attrs,
-                                         const IndexKey* key_filter);
+  /// `key_filter` (may be null) restricts to one key for point access;
+  /// its expressions are evaluated when the plan opens.
+  Result<OperatorPtr> BuildSegmentStream(
+      const std::string& class_name, const std::vector<std::string>& attrs,
+      const std::vector<ExprPtr>* key_filter);
 
   Result<OperatorPtr> BuildEntityPlan(const std::string& class_name,
                                       const std::vector<std::string>& attrs,
-                                      const IndexKey* key_filter);
+                                      const std::vector<ExprPtr>* key_filter);
 
   // -- CRUD helpers (database.cc / database_rel.cc) --
   Status InsertSegments(const std::string& class_name, const Value& entity,

@@ -267,27 +267,30 @@ class SnapshotParser {
 
 std::string NormalizeShape(const std::string& text) {
   Result<std::vector<Token>> tokens = Lexer::Tokenize(text);
+  if (tokens.ok()) return NormalizeShape(*tokens);
+  // The parser may still reject this text, but the profiler should not
+  // be the component that loses a statement — collapse whitespace and
+  // keep it verbatim.
   std::string out;
-  if (!tokens.ok()) {
-    // The parser may still reject this text, but the profiler should not
-    // be the component that loses a statement — collapse whitespace and
-    // keep it verbatim.
-    bool in_space = true;
-    for (char c : text) {
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        if (!in_space) out += ' ';
-        in_space = true;
-      } else {
-        out += c;
-        in_space = false;
-      }
+  bool in_space = true;
+  for (char c : text) {
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      if (!in_space) out += ' ';
+      in_space = true;
+    } else {
+      out += c;
+      in_space = false;
     }
-    while (!out.empty() && (out.back() == ' ' || out.back() == ';')) {
-      out.pop_back();
-    }
-    return out;
   }
-  for (const Token& token : *tokens) {
+  while (!out.empty() && (out.back() == ' ' || out.back() == ';')) {
+    out.pop_back();
+  }
+  return out;
+}
+
+std::string NormalizeShape(const std::vector<Token>& tokens) {
+  std::string out;
+  for (const Token& token : tokens) {
     if (token.kind == TokenKind::kEnd) break;
     std::string piece;
     switch (token.kind) {

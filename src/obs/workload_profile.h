@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/lexer.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 
@@ -117,6 +118,9 @@ struct WorkloadSnapshot {
 /// falls back to whitespace collapsing so the profiler never rejects a
 /// statement the parser itself accepted.
 std::string NormalizeShape(const std::string& text);
+/// The same shape from an already tokenized statement (the plan cache's
+/// shaping pass), so a compile does not lex its text a second time.
+std::string NormalizeShape(const std::vector<Token>& tokens);
 
 class WorkloadProfile {
  public:

@@ -733,9 +733,9 @@ void Server::ExecuteOnWorker(std::shared_ptr<Connection> conn,
   hist_queue_wait_us_.Observe(static_cast<double>(queue_wait_ns) / 1e3);
   hist_execute_us_.Observe(static_cast<double>(exec_end_ns - exec_start_ns) /
                            1e3);
-  std::string frame;
-  if (item.tagged) {
-    if (outcome.ok()) {
+  std::string body;
+  if (outcome.ok()) {
+    if (item.tagged) {
       // Seq-tagged results carry the server-timing footer (append-only,
       // so v1 batch clients that don't ask for timing still decode).
       // write_stall can't be known yet — it is server-side telemetry.
@@ -743,18 +743,30 @@ void Server::ExecuteOnWorker(std::shared_ptr<Connection> conn,
       timing.present = true;
       timing.queue_wait_us = queue_wait_ns / 1000;
       timing.execute_us = (exec_end_ns - exec_start_ns) / 1000;
-      frame = EncodeFrame(FrameType::kResultSeq,
-                          EncodeResultSeqBody(item.seq, *outcome) +
-                              EncodeServerTimingFooter(timing));
+      body = EncodeResultSeqBody(item.seq, *outcome) +
+             EncodeServerTimingFooter(timing);
     } else {
-      frame = EncodeFrame(FrameType::kErrorSeq,
-                          EncodeErrorSeqBody(item.seq, outcome.status()));
+      body = EncodeResultBody(*outcome);
     }
+    if (body.size() > kMaxFramePayloadBytes) {
+      // The client must reject a frame past the cap, and the stream would
+      // be unreadable after it: answer this statement with a typed error
+      // and keep the connection usable.
+      outcome = Status::InvalidArgument(
+          "result of " + std::to_string(body.size()) +
+          " bytes exceeds the " + std::to_string(kMaxFramePayloadBytes) +
+          "-byte frame limit; select fewer rows or columns");
+    }
+  }
+  std::string frame;
+  if (outcome.ok()) {
+    frame = EncodeFrame(
+        item.tagged ? FrameType::kResultSeq : FrameType::kResult, body);
+  } else if (item.tagged) {
+    frame = EncodeFrame(FrameType::kErrorSeq,
+                        EncodeErrorSeqBody(item.seq, outcome.status()));
   } else {
-    frame = outcome.ok()
-                ? EncodeFrame(FrameType::kResult, EncodeResultBody(*outcome))
-                : EncodeFrame(FrameType::kError,
-                              EncodeErrorBody(outcome.status()));
+    frame = EncodeFrame(FrameType::kError, EncodeErrorBody(outcome.status()));
   }
   {
     std::lock_guard<std::mutex> lock(completions_mu_);

@@ -9,6 +9,27 @@
 namespace erbium {
 namespace server {
 
+namespace {
+
+/// Per-request metrics, resolved once: a registry lookup by name takes
+/// the registry mutex, which a statement's hot path should not.
+struct RequestMetrics {
+  obs::Counter requests =
+      obs::MetricsRegistry::Global().counter("server.requests");
+  obs::Counter errors =
+      obs::MetricsRegistry::Global().counter("server.request_errors");
+  obs::Histogram wall_us = obs::MetricsRegistry::Global().histogram(
+      "server.request.wall_us",
+      {100, 1000, 10'000, 100'000, 1'000'000, 10'000'000});
+};
+
+const RequestMetrics& Metrics() {
+  static const RequestMetrics metrics;
+  return metrics;
+}
+
+}  // namespace
+
 Session::~Session() {
   obs::SessionRegistry::Global().Deregister(id_);
   manager_->active_.fetch_sub(1);
@@ -41,13 +62,10 @@ Result<api::StatementOutcome> Session::Execute(const std::string& statement) {
         " ms request deadline (took " + std::to_string(wall_ns / 1'000'000u) +
         " ms); result discarded");
   }
-  auto& metrics = obs::MetricsRegistry::Global();
-  metrics.counter("server.requests").Increment();
-  if (!outcome.ok()) metrics.counter("server.request_errors").Increment();
-  metrics
-      .histogram("server.request.wall_us",
-                 {100, 1000, 10'000, 100'000, 1'000'000, 10'000'000})
-      .Observe(static_cast<double>(wall_ns) / 1000.0);
+  const RequestMetrics& metrics = Metrics();
+  metrics.requests.Increment();
+  if (!outcome.ok()) metrics.errors.Increment();
+  metrics.wall_us.Observe(static_cast<double>(wall_ns) / 1000.0);
   bool failed = !outcome.ok();
   int shard = outcome.ok() ? outcome->shard : -1;
   registry.Update(id_, [failed, shard](obs::SessionInfo* info) {

@@ -151,11 +151,16 @@ bool CoPartitionMap::CoAnchored(const std::string& a,
   return pa != nullptr && pb != nullptr && pa->anchor == pb->anchor;
 }
 
+int ShardOfRoutingValues(const std::vector<Value>& routing_values,
+                         int shards) {
+  if (shards <= 1) return 0;
+  return static_cast<int>(HashRoutingValues(routing_values) %
+                          static_cast<uint64_t>(shards));
+}
+
 int CoPartitionMap::RouteValues(
     const std::vector<Value>& routing_values) const {
-  if (shards_ <= 1) return 0;
-  return static_cast<int>(HashRoutingValues(routing_values) %
-                          static_cast<uint64_t>(shards_));
+  return ShardOfRoutingValues(routing_values, shards_);
 }
 
 Result<int> CoPartitionMap::RouteKey(const std::string& entity_name,

@@ -89,6 +89,11 @@ class CoPartitionMap {
   std::unordered_map<std::string, RelationshipPlacement> relationships_;
 };
 
+/// Shard of routing values among `shards` shards: the hash routing that
+/// CoPartitionMap::RouteValues applies, usable without a map (a cached
+/// plan's shard guard re-checks it against new parameter values).
+int ShardOfRoutingValues(const std::vector<Value>& routing_values, int shards);
+
 /// Rejects schema/mapping combinations that cannot be partitioned:
 /// fused relationship storages (kMaterializedJoin, kFactorized) store
 /// both endpoints' segments in one physical structure, but hash routing

@@ -382,6 +382,34 @@ TEST(ServerTest, RequestDeadlineReturnsTypedError) {
   EXPECT_TRUE((*client)->Ping().ok());
 }
 
+TEST(ServerTest, OversizedResultIsATypedErrorAndKeepsTheConnection) {
+  auto server = Server::Start(Figure4ServerOptions());
+  ASSERT_TRUE(server.ok());
+  auto client = Client::Connect(ClientFor(**server, "oversized"));
+  ASSERT_TRUE(client.ok());
+
+  // 20 rows of 1 MB: their projection encodes past kMaxFramePayloadBytes.
+  const std::string big(1u << 20, 'x');
+  for (int i = 0; i < 20; ++i) {
+    auto insert = (*client)->Execute(
+        "INSERT R (r_id = " + std::to_string(95000 + i) +
+        ", r_a1 = 1, r_a2 = 0.5, r_a3 = '" + big + "', r_a4 = 2)");
+    ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+  }
+  auto large = (*client)->Execute("SELECT r_id, r_a3 FROM R WHERE r_a1 = 1");
+  ASSERT_FALSE(large.ok());
+  EXPECT_EQ(large.status().code(), StatusCode::kInvalidArgument)
+      << large.status().ToString();
+  EXPECT_NE(large.status().message().find("frame limit"), std::string::npos)
+      << large.status().ToString();
+
+  // The next statement on the same connection still gets its answer.
+  auto count = (*client)->Execute("SELECT count(*) FROM R");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  ASSERT_EQ(count->result.rows.size(), 1u);
+  EXPECT_EQ(count->result.rows[0][0].as_int64(), 200 + 20);
+}
+
 TEST(ServerTest, GracefulShutdownDrainsAndCheckpoints) {
   std::string dir = FreshDir("shutdown");
   ServerOptions options = Figure4ServerOptions();
